@@ -20,9 +20,10 @@ so this module predicts, per domain size and *exactly*:
   (placements grouped by atom-usage mask, the model's occupancy check).
 
 The differential suite (``tests/test_analysis.py``) holds these equal to the
-measured enumerator/cost model on every benchmark KB.  Classification mirrors
-the engine's own skip rules: a grid point is ``oversized`` exactly when
-``RandomWorlds._counting`` would skip it.
+measured enumerator/cost model on every benchmark KB.  Classification
+consults the engine's own skip rules
+(:func:`~repro.worlds.enumeration.counting_domain_sizes`): a grid point is
+``oversized`` exactly when ``RandomWorlds._counting`` would skip it.
 """
 
 from __future__ import annotations
@@ -31,12 +32,16 @@ import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..core.engine import BRUTE_FORCE_WORLD_LIMIT, UNARY_CLASS_LIMIT, _unary_class_count
 from ..core.knowledge_base import KnowledgeBase
 from ..logic.syntax import conjuncts
 from ..worlds.counting import CACHE_CLASS_LIMIT
 from ..worlds.degrees import DEFAULT_DOMAIN_SIZES
-from ..worlds.enumeration import world_space_size
+from ..worlds.enumeration import (
+    BRUTE_FORCE_WORLD_LIMIT,
+    UNARY_CLASS_LIMIT,
+    counting_domain_sizes,
+    world_space_size,
+)
 from ..worlds.unary import enumerate_placements
 from .diagnostics import Diagnostic, diagnostic
 
@@ -159,11 +164,6 @@ def predicted_shard_cost(
     return total
 
 
-def unary_class_bound(knowledge_base: KnowledgeBase, domain_size: int) -> int:
-    """The engine's skip-rule bound for a unary grid point (verbatim)."""
-    return _unary_class_count(knowledge_base.vocabulary, domain_size)
-
-
 def _placement_enumeration_bound(num_constants: int, num_atoms: int) -> int:
     """Upper bound on the placements the grouping helpers would enumerate."""
     return max(1, max(num_constants, 1) ** num_constants) * (num_atoms**num_constants)
@@ -178,22 +178,23 @@ def predict_costs(
 ) -> Tuple[List[GridPointCost], List[Diagnostic]]:
     """Predict and classify every grid point; warn on budget/limit breaches.
 
-    Classification mirrors ``RandomWorlds._counting`` exactly: a unary grid
-    point is ``oversized`` iff its class-count bound exceeds
-    ``UNARY_CLASS_LIMIT``; a non-unary one iff its world count exceeds
-    ``BRUTE_FORCE_WORLD_LIMIT``.  Kept points are ``heavy`` when the
-    predicted cost breaches ``cost_budget`` (W402) or the candidate class
-    count overflows the decomposition cache (``CACHE_CLASS_LIMIT``).
+    A grid point is ``oversized`` iff
+    :func:`~repro.worlds.enumeration.counting_domain_sizes` drops it, the
+    same filter ``RandomWorlds._counting`` applies.  Kept points are
+    ``heavy`` when the predicted cost breaches ``cost_budget`` (W402) or the
+    candidate class count overflows the decomposition cache
+    (``CACHE_CLASS_LIMIT``).
     """
     vocabulary = knowledge_base.vocabulary
     sizes = tuple(domain_sizes) if domain_sizes is not None else DEFAULT_DOMAIN_SIZES
+    kept = set(counting_domain_sizes(vocabulary, sizes))
     rows: List[GridPointCost] = []
     findings: List[Diagnostic] = []
 
     if not vocabulary.is_unary:
         for n in sizes:
             worlds = world_space_size(vocabulary, n)
-            if worlds > BRUTE_FORCE_WORLD_LIMIT:
+            if n not in kept:
                 rows.append(GridPointCost(n, OVERSIZED, True, world_count=worlds))
                 continue
             classification = HEAVY if worlds > cost_budget else CHEAP
@@ -212,7 +213,7 @@ def predict_costs(
         num_atoms = 1 << len(vocabulary.unary_predicates)
         groupable = _placement_enumeration_bound(len(constants), num_atoms) <= PLACEMENT_GROUP_LIMIT
         for n in sizes:
-            if unary_class_bound(knowledge_base, n) > UNARY_CLASS_LIMIT:
+            if n not in kept:
                 rows.append(
                     GridPointCost(
                         n,

@@ -20,7 +20,6 @@ engine records which path produced the value so experiments can compare them.
 
 from __future__ import annotations
 
-import math
 from collections import OrderedDict
 from typing import Iterable, List, Optional, Sequence, Union
 
@@ -41,14 +40,8 @@ from ..worlds.cache import (
 )
 from ..worlds.counting import InconsistentKnowledgeBase
 from ..worlds.degrees import DEFAULT_DOMAIN_SIZES, degree_of_belief_by_counting
-from ..worlds.enumeration import EnumerationTooLarge, world_space_size
-from ..worlds.parallel import (
-    BACKENDS,
-    BackendLike,
-    CountingExecutor,
-    make_executor,
-    resolve_backend,
-)
+from ..worlds.enumeration import EnumerationTooLarge, counting_domain_sizes
+from ..worlds.parallel import BackendLike, CountingExecutor, make_executor, resolve_backend
 from ..worlds.unary import UnsupportedFormula
 from .combination import combination_inference
 from .direct_inference import direct_inference
@@ -69,11 +62,6 @@ AUTO_METHODS = ("independence", "analytic", "maxent", "counting")
 # (evicting one only loses its fingerprint; the world-count cache is
 # engine-level and survives).
 SHIM_SESSION_LIMIT = 8
-BRUTE_FORCE_WORLD_LIMIT = 300_000
-# Upper bound on the number of isomorphism classes the unary counter may visit
-# per (domain size, tolerance) pair; larger domain sizes are skipped so a query
-# over a many-predicate vocabulary degrades gracefully instead of hanging.
-UNARY_CLASS_LIMIT = 250_000
 
 
 class RandomWorldsError(RuntimeError):
@@ -118,18 +106,14 @@ class RandomWorlds:
         for unbounded).
     backend:
         Execution backend for the exact-counting path: ``"serial"`` (the
-        default), ``"threads"`` (coarse thread fan-out of batch queries —
-        GIL-bound, latency hiding only), ``"processes"`` (each counting grid
-        point's enumeration is sharded across a persistent process pool —
-        true multi-core counting), or a
-        :class:`~repro.worlds.parallel.CountingExecutor` instance shared
-        between engines.  Answers are ``Fraction``-identical across
-        backends.  ``None`` means ``"serial"``; combining it with
-        ``max_workers > 1`` raises ``ValueError`` (the old implicit-threads
-        behaviour finished its deprecation cycle).
+        default), ``"processes"`` (each counting grid point's enumeration is
+        sharded across a persistent process pool — true multi-core
+        counting), or a :class:`~repro.worlds.parallel.CountingExecutor`
+        instance shared between engines.  Answers are ``Fraction``-identical
+        across backends.  ``None`` means ``"serial"``; combining it with
+        ``max_workers > 1`` raises ``ValueError``.
     max_workers:
-        Pool width for the chosen backend (and the default thread-pool width
-        for :meth:`degree_of_belief_batch`).
+        Pool width for the ``processes`` backend.
     compile:
         Compile each counting query into a flat per-decomposition program
         (the default).  ``False`` forces the interpreted recursive evaluator
@@ -217,8 +201,6 @@ class RandomWorlds:
             self._world_cache = WorldCountCache(memo=memo, memo_size=memo_size)
         else:
             self._world_cache = None
-        if isinstance(backend, str) and backend not in BACKENDS:
-            raise ValueError(f"unknown counting backend {backend!r}; expected one of {BACKENDS}")
         self._backend = backend
         self._max_workers = max_workers
         self._owned_executor: Optional[CountingExecutor] = None
@@ -330,7 +312,6 @@ class RandomWorlds:
         queries: Sequence[QueryLike],
         knowledge_base: KnowledgeBaseLike,
         method: str = "auto",
-        max_workers: Optional[int] = None,
     ) -> List[BeliefResult]:
         """Answer many queries against one knowledge base, sharing all per-KB work.
 
@@ -346,12 +327,7 @@ class RandomWorlds:
         containing repeated (or alpha-equivalent / reordered) queries answers
         the repeats in O(1) instead of re-walking the cached classes.
 
-        With the ``threads`` backend (or legacy ``max_workers > 1``) the
-        queries fan out over a thread pool; the cache is thread-safe and
-        serialises concurrent misses per grid point, so threads never
-        duplicate an enumeration — but the counting itself is pure CPU-bound
-        Python, so on CPython the GIL bounds the win.  With the
-        ``processes`` backend the query loop stays sequential and the
+        The query loop is sequential.  With the ``processes`` backend the
         counting work — not each query — goes to the engine's process pool:
         cold grid points shard their *enumeration* across workers, and warm
         keys whose cached decomposition is large ship *evaluation* shards
@@ -364,7 +340,7 @@ class RandomWorlds:
 
         kb = self._as_knowledge_base(knowledge_base)
         requests = [QueryRequest(query=self._as_query(query), method=method) for query in queries]
-        responses = self._shim_session(kb).submit_many(requests, max_workers=max_workers)
+        responses = self._shim_session(kb).submit_many(requests)
         return [response.result for response in responses]
 
     @property
@@ -437,9 +413,8 @@ class RandomWorlds:
     def _counting_executor(self) -> Optional[CountingExecutor]:
         """The executor handed to the counting path (``None`` = inline streaming).
 
-        Only shard-dispatching backends are passed down: thread fan-out
-        already happens at the batch level, and nesting both levels on one
-        pool would risk deadlock for zero speedup.
+        Only shard-dispatching backends are passed down; the serial backend
+        counts inline.
         """
         if isinstance(self._backend, CountingExecutor):
             return self._backend if self._backend.dispatches_shards else None
@@ -577,22 +552,9 @@ class RandomWorlds:
 
     def _counting(self, query: Formula, kb: KnowledgeBase) -> Optional[BeliefResult]:
         vocabulary = self._joint_vocabulary(query, kb)
-        prefer_unary = vocabulary.is_unary
-        if not prefer_unary:
-            # Refuse hopeless brute-force enumerations up front.
-            if world_space_size(vocabulary, min(self._domain_sizes)) > BRUTE_FORCE_WORLD_LIMIT:
-                return None
-            domain_sizes: Sequence[int] = tuple(
-                n for n in self._domain_sizes if world_space_size(vocabulary, n) <= BRUTE_FORCE_WORLD_LIMIT
-            )
-            if not domain_sizes:
-                return None
-        else:
-            domain_sizes = tuple(
-                n for n in self._domain_sizes if _unary_class_count(vocabulary, n) <= UNARY_CLASS_LIMIT
-            )
-            if not domain_sizes:
-                return None
+        domain_sizes = counting_domain_sizes(vocabulary, self._domain_sizes)
+        if not domain_sizes:
+            return None
         try:
             report = degree_of_belief_by_counting(
                 query,
@@ -600,7 +562,7 @@ class RandomWorlds:
                 vocabulary,
                 domain_sizes=domain_sizes,
                 tolerances=self._tolerances,
-                prefer_unary=prefer_unary,
+                prefer_unary=vocabulary.is_unary,
                 cache=self._world_cache,
                 backend=self._counting_executor(),
                 compile_queries=self._compile,
@@ -632,18 +594,3 @@ class RandomWorlds:
             note="exact world counting with limit extrapolation (Definition 4.3)",
         )
 
-
-def _unary_class_count(vocabulary: Vocabulary, domain_size: int) -> int:
-    """Number of isomorphism classes the unary counter would visit for one (N, tau) pair.
-
-    Used to skip domain sizes whose exact count would be prohibitively slow for
-    vocabularies with many unary predicates (the method is exponential in the
-    number of predicates, as the paper notes in Section 7.4).
-    """
-    num_atoms = 1 << len(vocabulary.unary_predicates)
-    compositions = math.comb(domain_size + num_atoms - 1, num_atoms - 1)
-    num_constants = len(vocabulary.constants)
-    # Placements grow like Bell(m) * A^m; for the small m used in practice the
-    # simple bound m^m * A^m is adequate.
-    placements = max(1, (max(num_constants, 1) ** num_constants)) * (num_atoms**num_constants)
-    return compositions * placements

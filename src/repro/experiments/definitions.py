@@ -852,12 +852,12 @@ E20_WORKERS = max(2, min(4, os.cpu_count() or 1))
     slow=True,
 )
 def experiment_e20() -> List[ExperimentRow]:
-    """Serial vs threads vs processes on the E18 counting scaling grid.
+    """Serial vs processes on the E18 counting scaling grid.
 
-    The grid points are embarrassingly parallel but pure Python, so the
-    thread backend is GIL-bound; the process backend shards each grid
-    point's composition enumeration across workers and must (a) return
-    ``Fraction``-identical probabilities on every backend and (b) beat the
+    The grid points are embarrassingly parallel but pure Python, so only a
+    process pool can use more than one core; the process backend shards each
+    grid point's composition enumeration across workers and must (a) return
+    ``Fraction``-identical probabilities to the serial backend and (b) beat the
     serial wall clock by >= 2x with >= 2 workers — on a multi-core host.  A
     single-core host cannot show a wall-clock win, so there the speedup row
     reports the measurement without gating on it.
@@ -881,15 +881,12 @@ def experiment_e20() -> List[ExperimentRow]:
         return curve, time.perf_counter() - start
 
     serial_curve, serial_elapsed = timed_curve("serial")
-    thread_curve, thread_elapsed = timed_curve("threads")
     process_curve, process_elapsed = timed_curve("processes")
 
-    identical = (
-        serial_curve.probabilities == thread_curve.probabilities == process_curve.probabilities
-    )
+    identical = serial_curve.probabilities == process_curve.probabilities
     rows = [
         boolean_row(
-            "serial, thread and process backends agree to the exact Fraction",
+            "serial and process backends agree to the exact Fraction",
             True,
             identical,
             method="parallel",
@@ -910,7 +907,6 @@ def experiment_e20() -> List[ExperimentRow]:
     speedup = serial_elapsed / process_elapsed if process_elapsed > 0 else float("inf")
     measured = (
         f"{speedup:.1f}x (serial {serial_elapsed * 1000:.0f} ms, "
-        f"threads {thread_elapsed * 1000:.0f} ms, "
         f"processes {process_elapsed * 1000:.0f} ms, {E20_WORKERS} workers, {cpus} cores)"
     )
     if required is None:
@@ -1427,16 +1423,17 @@ E24_SPEEDUP_GATE = 5.0
 
 def _e24_domain_size(vocabulary: Vocabulary) -> int:
     """The largest small domain size whose exact count stays within budget."""
-    from ..core.engine import _unary_class_count
-    from ..worlds.enumeration import world_space_size
+    from ..worlds.enumeration import counting_domain_sizes
 
-    for domain_size in (10, 8, 6, 5, 4, 3, 2, 1):
-        if vocabulary.is_unary:
-            if _unary_class_count(vocabulary, domain_size) <= E24_UNARY_CLASS_BUDGET:
-                return domain_size
-        elif world_space_size(vocabulary, domain_size) <= E24_BRUTE_WORLD_BUDGET:
-            return domain_size
-    raise AssertionError(f"no feasible domain size for {vocabulary!r}")
+    feasible = counting_domain_sizes(
+        vocabulary,
+        (10, 8, 6, 5, 4, 3, 2, 1),
+        unary_limit=E24_UNARY_CLASS_BUDGET,
+        world_limit=E24_BRUTE_WORLD_BUDGET,
+    )
+    if not feasible:
+        raise AssertionError(f"no feasible domain size for {vocabulary!r}")
+    return feasible[0]
 
 
 @register(
@@ -1451,7 +1448,7 @@ def experiment_e24() -> List[ExperimentRow]:
     *Identity*: on every benchmark knowledge base, evaluating the standard
     query through the compiled kernel must produce ``(satisfying_kb,
     satisfying_both)`` pairs exactly equal to the interpreted recursive
-    evaluator — across the serial, threads and processes backends (workers
+    evaluator — across the serial and processes backends (workers
     run the shipped program, never a local recompilation).  Queries the
     compiler does not cover fall back to the interpreted walk, so the
     comparison is total.
@@ -1469,7 +1466,7 @@ def experiment_e24() -> List[ExperimentRow]:
 
     mismatches = []
     compiled_names = []
-    for backend in ("serial", "threads", "processes"):
+    for backend in ("serial", "processes"):
         with executor_scope(backend, 2) as executor:
             for name, factory, query_text in suite:
                 kb = factory()
@@ -1503,7 +1500,7 @@ def experiment_e24() -> List[ExperimentRow]:
     rows = [
         boolean_row(
             "compiled answers are Fraction-identical to the interpreted evaluator "
-            "on every benchmark KB across serial/threads/processes",
+            "on every benchmark KB across serial/processes",
             True,
             not mismatches,
             method="compile",

@@ -39,7 +39,6 @@ from ..obs import MetricsRegistry
 from ..statics.runtime import named_lock
 from ..worlds.cache import CacheEventLog, CacheInfo, tracking_cache_events, vocabulary_fingerprint
 from ..worlds.counting import InconsistentKnowledgeBase
-from ..worlds.parallel import CountingExecutor, executor_scope, resolve_backend
 from .messages import BeliefResponse, CacheDelta, ErrorResponse, QueryRequest
 from .registry import SolverRegistry, UnsupportedRequest, default_registry
 
@@ -274,8 +273,9 @@ class BeliefSession:
     def _with_id(self, request: QueryRequest) -> QueryRequest:
         """Assign the next sequential request id unless the caller chose one.
 
-        Ids are assigned before any fan-out so they follow request order even
-        when a batch answers on a thread pool.
+        ``submit_many`` assigns a whole batch's ids before any request runs,
+        so they are contiguous and follow request order even while other
+        threads submit to the same session.
         """
         if request.request_id:
             return request
@@ -346,9 +346,8 @@ class BeliefSession:
         """Answer one request through the solver its ``method`` key names.
 
         The response's ``cache_delta`` is attributed exactly: the solve runs
-        under a per-request :class:`~repro.worlds.cache.CacheEventLog`
-        (propagated onto worker threads when this one request fans grid
-        points out), so concurrent ``submit`` calls never charge each other's
+        under a per-request :class:`~repro.worlds.cache.CacheEventLog`, so
+        concurrent ``submit`` calls never charge each other's
         cache traffic — the racy before/after ``cache_info()`` snapshot pair
         this replaces did.
         """
@@ -403,32 +402,14 @@ class BeliefSession:
         if log.fallback:
             self._evaluations_total.labels(mode="fallback").inc(log.fallback)
 
-    def submit_many(
-        self,
-        requests: Sequence[RequestLike],
-        max_workers: Optional[int] = None,
-    ) -> List[BeliefResponse]:
-        """Answer many requests, sharing all per-KB warm state.
+    def submit_many(self, requests: Sequence[RequestLike]) -> List[BeliefResponse]:
+        """Answer many requests in order, sharing all per-KB warm state.
 
-        With the ``threads`` backend the requests fan out over a thread pool;
-        with ``processes`` the request loop stays sequential and the counting
-        layer shards across the engine's process pool; otherwise the loop is
-        serial.  Passing ``max_workers > 1`` on an engine with no explicit
-        backend raises ``ValueError`` (the old implicit-threads spelling was
-        removed — configure ``EngineOptions(backend="threads")``).  Responses
-        come back in request order.
+        The request loop is sequential; with the ``processes`` backend the
+        counting layer shards each request's work across the engine's
+        process pool.  Responses come back in request order.
         """
         items = [self._with_id(self._as_request(request)) for request in requests]
-        engine = self._engine
-        workers = max_workers if max_workers is not None else engine.max_workers
-        supplied = isinstance(engine.backend, CountingExecutor)
-        resolved = resolve_backend(engine.backend.name if supplied else engine.backend, workers)
-        if resolved == "threads" and len(items) > 1:
-            # A caller-supplied executor instance is used as-is (its pool and
-            # width belong to the caller); a string spec builds a per-call
-            # pool that executor_scope shuts down on exit.
-            with executor_scope(engine.backend if supplied else "threads", workers) as executor:
-                return executor.map_ordered(self.submit, items)
         return [self.submit(item) for item in items]
 
     def stream(

@@ -2,9 +2,9 @@
 
 Layer contract: path walking, pass selection, output format and exit-code
 policy only — findings come from :mod:`repro.statics.locks` (lock
-discipline, C6xx/C7xx) and :mod:`repro.statics.exactness` (the X00x checks
-absorbed from ``tools/lint_exactness.py``), so the CLI can never disagree
-with the library entry points the tests call directly.
+discipline, C6xx/C7xx) and :mod:`repro.statics.exactness` (the X00x
+exactness checks), so the CLI can never disagree with the library entry
+points the tests call directly.
 
 Where ``repro-lint`` analyzes the *knowledge bases* embedded in the code,
 ``repro-lint-code`` analyzes the *code itself*; CI runs both.  Output is
@@ -44,9 +44,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "paths",
         nargs="*",
-        default=["src", "tools"],
+        default=["src"],
         metavar="PATH",
-        help="Python files or directories to lock-lint as one corpus (default: src tools)",
+        help="Python files or directories to lock-lint as one corpus (default: src)",
     )
     parser.add_argument(
         "--format",

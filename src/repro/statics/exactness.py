@@ -1,12 +1,11 @@
 """Exactness lint as a pass of the code-analyzer framework.
 
-Layer contract: the checks that used to live in ``tools/lint_exactness.py``
-(that script is now a thin shim over this module), re-emitted as the shared
+Layer contract: the exactness checks, emitted as the shared
 :class:`~repro.analysis.diagnostics.Diagnostic` model so `repro-lint-code`
 reports exactness and lock-discipline findings in one format, one registry,
-one ``--format json`` schema.
+one ``--format json`` schema.  ``repro-lint-code`` is their only entry point.
 
-The checks are unchanged:
+The checks:
 
 * **X001** — ``float(...)`` coercions and float literals in arithmetic
   inside the counting hot paths (``worlds/counting.py``, ``cache.py``,
@@ -16,10 +15,6 @@ The checks are unchanged:
 * **X002** — the retired bare ``max_workers=N`` (N > 1) spelling without an
   explicit ``backend=`` in the same call, in Python sources under ``src/``
   and ``examples/`` and in fenced python blocks of README and ``docs/*.md``.
-
-:func:`main` preserves the original script's output and exit code exactly —
-``relpath:line:col X00n message`` lines plus the ``N exactness violation(s)``
-summary, exit 1 when anything fired.
 """
 
 from __future__ import annotations
@@ -114,8 +109,8 @@ def _worker_violations(path: Path) -> Iterator[Tuple[int, int, str]]:
             if isinstance(value, ast.Constant) and isinstance(value.value, int) and value.value > 1:
                 yield kw.lineno, kw.col_offset + 1, (
                     f"bare max_workers={value.value} without an explicit backend= "
-                    "(the implied-threads spelling is retired); pass "
-                    "backend=\"threads\" alongside it"
+                    "(it does not choose a pool); pass "
+                    "backend=\"processes\" alongside it"
                 )
 
 
@@ -171,17 +166,4 @@ def exactness_diagnostics(root: Optional[Path] = None) -> List[Diagnostic]:
     return findings
 
 
-def main(root: Optional[Path] = None) -> int:
-    """The legacy ``tools/lint_exactness.py`` entry point, byte-compatible."""
-    findings = exactness_diagnostics(root)
-    for finding in findings:
-        print(finding.format())
-    print(f"{len(findings)} exactness violation(s)")
-    return 1 if findings else 0
-
-
-__all__ = ["exactness_diagnostics", "find_repo_root", "main"]
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+__all__ = ["exactness_diagnostics", "find_repo_root"]

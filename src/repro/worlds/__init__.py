@@ -32,7 +32,6 @@ from .parallel import (
     PartialDecomposition,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     WorkUnit,
     compute_shard,
     executor_scope,
@@ -49,8 +48,11 @@ from .degrees import (
     probability_at,
 )
 from .enumeration import (
+    BRUTE_FORCE_WORLD_LIMIT,
     DEFAULT_LIMIT,
+    UNARY_CLASS_LIMIT,
     EnumerationTooLarge,
+    counting_domain_sizes,
     enumerate_worlds,
     world_space_size,
 )

@@ -8,17 +8,16 @@ double limit.  It is slower than the max-entropy and closed-form engines in
 being unary (or tiny, for the brute-force path).
 
 All entry points accept an optional :class:`~repro.worlds.cache.WorldCountCache`
-and a ``backend`` (``"serial"`` / ``"threads"`` / ``"processes"``, or a
+and a ``backend`` (``"serial"`` / ``"processes"``, or a
 :class:`~repro.worlds.parallel.CountingExecutor` instance).  With a cache, the
 KB class decomposition for each ``(N, tau)`` grid point is enumerated at most
 once across every query sharing it; a cache constructed with ``memo=True``
 further memoises the finished counts per ``(grid point, canonical query)`` so
-identical repeated queries are O(1).  The ``threads`` backend fans the
-per-domain-size counts out over a thread pool (latency hiding only — the
-counting is GIL-bound), while ``processes`` shards each grid point's
-enumeration — and, on warm caches with large decompositions, each query's
-*evaluation* — across worker processes for true multi-core counting.  Answers
-are ``Fraction``-identical across all backends and memo settings.
+identical repeated queries are O(1).  Domain sizes and tolerances are looped
+over inline; ``processes`` shards each grid point's enumeration — and, on
+warm caches with large decompositions, each query's *evaluation* — across
+worker processes for true multi-core counting.  Answers are
+``Fraction``-identical across both backends and memo settings.
 """
 
 from __future__ import annotations
@@ -102,17 +101,14 @@ def counting_curve(
 ) -> CountingCurve:
     """``Pr^tau_N`` for several domain sizes at a fixed tolerance vector.
 
-    ``backend`` selects the execution strategy: ``"threads"`` computes the
-    domain sizes concurrently on a thread pool (GIL-limited — latency hiding,
-    not a CPU speedup), ``"processes"`` keeps this loop serial but shards
+    The domain sizes are counted in order.  ``backend="processes"`` shards
     each grid point's enumeration (and each warm query's evaluation over a
-    large cached decomposition) across worker processes, and ``"serial"``
-    runs everything inline.  ``max_workers`` sets the pool width; setting it
-    above 1 without an explicit backend is an error (the old threads
-    implication was removed after its deprecation cycle — pass
-    ``backend="threads"``).  The counter's cache (when given) is thread-safe
-    and serialises concurrent misses per grid point, so each decomposition is
-    enumerated exactly once whichever backend runs; a cache with an attached
+    large cached decomposition) across worker processes; ``"serial"`` runs
+    everything inline.  ``max_workers`` sets the pool width; setting it
+    above 1 without an explicit backend is an error.  The counter's cache
+    (when given) is thread-safe and serialises concurrent misses per grid
+    point, so each decomposition is enumerated exactly once whichever backend
+    runs; a cache with an attached
     :class:`~repro.worlds.cache.QueryMemoTable` additionally serves repeated
     queries against it in O(1).
     """
@@ -125,11 +121,10 @@ def counting_curve(
             compile_queries=compile_queries,
         )
 
-        def at_size(domain_size: int) -> Optional[Fraction]:
+        probabilities: List[Optional[Fraction]] = []
+        for domain_size in domain_sizes:
             result: CountResult = counter.count(query, knowledge_base, domain_size, tolerance)
-            return result.probability if result.is_defined else None
-
-        probabilities = executor.map_ordered(at_size, list(domain_sizes))
+            probabilities.append(result.probability if result.is_defined else None)
     return CountingCurve(tolerance, tuple(domain_sizes), tuple(probabilities))
 
 
@@ -165,10 +160,9 @@ def degree_of_belief_by_counting(
         same KB then skip the class enumeration at every grid point.
     max_workers:
         Pool width for the chosen backend.  Setting it above 1 without an
-        explicit ``backend`` raises ``ValueError`` (the old implicit-threads
-        behaviour was removed after its deprecation cycle).
+        explicit ``backend`` raises ``ValueError``.
     backend:
-        ``"serial"`` / ``"threads"`` / ``"processes"`` or a
+        ``"serial"`` / ``"processes"`` or a
         :class:`~repro.worlds.parallel.CountingExecutor`; one executor (and
         process pool) is shared across the whole tolerance ladder.
     compile_queries:

@@ -12,7 +12,8 @@ occasional small non-unary example exactly.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterator, Mapping, Optional, Tuple
+import math
+from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
 from ..logic.semantics import World
 from ..logic.vocabulary import Vocabulary
@@ -24,6 +25,14 @@ class EnumerationTooLarge(ValueError):
 
 DEFAULT_LIMIT = 2_000_000
 
+# The exact-counting skip rules.  A non-unary vocabulary is counted only at
+# domain sizes with at most BRUTE_FORCE_WORLD_LIMIT worlds; a unary one only
+# where the unary counter visits at most UNARY_CLASS_LIMIT isomorphism classes
+# per (N, tau) pair, so a many-predicate vocabulary degrades gracefully
+# instead of hanging.
+BRUTE_FORCE_WORLD_LIMIT = 300_000
+UNARY_CLASS_LIMIT = 250_000
+
 
 def world_space_size(vocabulary: Vocabulary, domain_size: int) -> int:
     """The exact number of worlds of the given size over the vocabulary."""
@@ -34,6 +43,42 @@ def world_space_size(vocabulary: Vocabulary, domain_size: int) -> int:
         total *= domain_size ** (domain_size**arity)
     total *= domain_size ** len(vocabulary.constants)
     return total
+
+
+def _unary_class_count(vocabulary: Vocabulary, domain_size: int) -> int:
+    """Upper bound on the isomorphism classes the unary counter visits for one (N, tau) pair.
+
+    The method is exponential in the number of unary predicates, as the
+    paper notes in Section 7.4.
+    """
+    num_atoms = 1 << len(vocabulary.unary_predicates)
+    compositions = math.comb(domain_size + num_atoms - 1, num_atoms - 1)
+    num_constants = len(vocabulary.constants)
+    # Placements grow like Bell(m) * A^m; for the small m used in practice the
+    # simple bound m^m * A^m is adequate.
+    placements = max(1, (max(num_constants, 1) ** num_constants)) * (num_atoms**num_constants)
+    return compositions * placements
+
+
+def counting_domain_sizes(
+    vocabulary: Vocabulary,
+    domain_sizes: Iterable[int],
+    *,
+    unary_limit: int = UNARY_CLASS_LIMIT,
+    world_limit: int = BRUTE_FORCE_WORLD_LIMIT,
+) -> Tuple[int, ...]:
+    """The domain sizes, in the given order, at which exact counting may run.
+
+    This is the single owner of the counting skip rules: a unary vocabulary
+    keeps the sizes whose class-count bound is at most ``unary_limit``, any
+    other vocabulary the sizes with at most ``world_limit`` worlds.  The
+    engine filters its schedule through it, the static cost model classifies
+    skipped sizes as oversized through it, and callers with a tighter budget
+    pass their own limits.
+    """
+    if vocabulary.is_unary:
+        return tuple(n for n in domain_sizes if _unary_class_count(vocabulary, n) <= unary_limit)
+    return tuple(n for n in domain_sizes if world_space_size(vocabulary, n) <= world_limit)
 
 
 def enumerate_worlds(

@@ -17,7 +17,7 @@ if _SRC not in sys.path:  # pragma: no cover - environment dependent
         sys.path.insert(0, _SRC)
 
 from repro.core import RandomWorlds  # noqa: E402
-from repro.worlds.parallel import CountingExecutor, ProcessExecutor, make_executor  # noqa: E402
+from repro.worlds.parallel import BACKENDS, CountingExecutor, ProcessExecutor, make_executor  # noqa: E402
 
 
 @pytest.fixture(scope="session")
@@ -37,13 +37,13 @@ def pytest_addoption(parser) -> None:
 
     CI runs one matrix leg with ``--backend processes --backend-workers 2`` so
     the process pool is exercised with real multi-worker fan-out; by default
-    the suite covers all three backends with 2 workers.
+    the suite covers both backends with 2 workers.
     """
     parser.addoption(
         "--backend",
         action="store",
         default=None,
-        choices=("serial", "threads", "processes"),
+        choices=BACKENDS,
         help="restrict the cross-backend equality suite to one counting backend",
     )
     parser.addoption(
@@ -86,16 +86,12 @@ def exhaustive_counting_domain(
     outside any enumeration budget.  Shared by the law suite and the
     corpus sampling below so both agree on what "checkable" means.
     """
-    from repro.core.engine import _unary_class_count
-    from repro.worlds.enumeration import world_space_size
+    from repro.worlds.enumeration import counting_domain_sizes
 
-    for domain_size in sizes:
-        if vocabulary.is_unary:
-            if _unary_class_count(vocabulary, domain_size) <= unary_budget:
-                return domain_size
-        elif world_space_size(vocabulary, domain_size) <= brute_budget:
-            return domain_size
-    return None
+    feasible = counting_domain_sizes(
+        vocabulary, sizes, unary_limit=unary_budget, world_limit=brute_budget
+    )
+    return feasible[0] if feasible else None
 
 
 def pytest_configure(config) -> None:
@@ -122,7 +118,7 @@ def pytest_sessionfinish(session, exitstatus) -> None:
 def pytest_generate_tests(metafunc) -> None:
     if "counting_backend" in metafunc.fixturenames:
         selected = metafunc.config.getoption("--backend")
-        backends = [selected] if selected else ["serial", "threads", "processes"]
+        backends = [selected] if selected else list(BACKENDS)
         metafunc.parametrize("counting_backend", backends)
     if "corpus_scenario" in metafunc.fixturenames:
         # A deterministic sample of pairwise-distinct corpus KBs: the sweep

@@ -29,7 +29,6 @@ from test_worlds_cache import BENCHMARK_KBS
 from repro import analysis
 from repro.analysis.cli import main as lint_main
 from repro.analysis.cost import OVERSIZED, PLACEMENT_GROUP_LIMIT, _placement_enumeration_bound
-from repro.core.engine import BRUTE_FORCE_WORLD_LIMIT, UNARY_CLASS_LIMIT, _unary_class_count
 from repro.logic.parser import parse
 from repro.logic.vocabulary import Vocabulary
 from repro.server.app import serve_in_background
@@ -38,7 +37,7 @@ from repro.service.session import check_consistency
 from repro.worlds.cache import WorldCountCache
 from repro.worlds.compile import compile_query
 from repro.worlds.counting import InconsistentKnowledgeBase, UnaryWorldCounter
-from repro.worlds.enumeration import world_space_size
+from repro.worlds.enumeration import counting_domain_sizes
 from repro.worlds.unary import AtomTable, enumerate_placements, enumerate_structures
 from repro.workloads.generators import random_unary_kb
 
@@ -134,11 +133,9 @@ class TestCostDifferential:
     def test_oversized_matches_engine_skip_rule(self, kb, query):
         """A grid point is 'oversized' exactly when the engine would skip it."""
         rows, _ = analysis.predict_costs(kb)
+        kept = counting_domain_sizes(kb.vocabulary, [row.domain_size for row in rows])
         for row in rows:
-            if kb.vocabulary.is_unary:
-                skipped = _unary_class_count(kb.vocabulary, row.domain_size) > UNARY_CLASS_LIMIT
-            else:
-                skipped = world_space_size(kb.vocabulary, row.domain_size) > BRUTE_FORCE_WORLD_LIMIT
+            skipped = row.domain_size not in kept
             assert (row.classification == OVERSIZED) == skipped
 
     def test_exact_rows_carry_counts(self):

@@ -1,7 +1,8 @@
 """Public-API snapshot: the exported names and signatures of the service.
 
-These tests freeze the surface of ``repro.service``, ``repro.server`` and
-``repro.core`` — the modules external callers program against.  A failing
+These tests freeze the surface of ``repro.service``, ``repro.server``,
+``repro.core`` and ``repro.worlds`` — the modules external callers program
+against.  A failing
 test here means the public API drifted; either restore compatibility or
 update the snapshot *and* ``docs/API.md`` / ``docs/DEPLOYMENT.md``
 together, deliberately.
@@ -14,10 +15,14 @@ import dataclasses
 import inspect
 import json
 
+import pytest
+
 import repro.core as core
 import repro.obs as obs
 import repro.server as server
 import repro.service as service
+import repro.worlds as worlds
+from repro.server.cli import build_parser as build_serve_parser
 
 # ---------------------------------------------------------------------------
 # Exported names
@@ -106,6 +111,41 @@ CORE_EXPORTS = [
     "strength_inference",
 ]
 
+# The counting layer, grouped by defining submodule (the subpackage names
+# themselves are exported too).
+WORLDS_EXPORTS = sorted(
+    [
+        "cache", "compile", "counting", "degrees", "enumeration", "limits", "parallel", "unary",
+        # cache
+        "OVERSIZED", "CacheInfo", "CacheKey", "ClassDecomposition", "CompiledProgramCache",
+        "OversizedSentinel", "QueryMemoTable", "WorldCountCache", "query_fingerprint",
+        "tolerance_fingerprint", "vocabulary_fingerprint",
+        # compile
+        "CompiledQuery", "compile_query",
+        # counting
+        "AUTO_PROGRAM", "BruteForceCounter", "CountResult", "InconsistentKnowledgeBase",
+        "UnaryWorldCounter", "counter_for_work_unit", "make_counter", "shard_bounds",
+        "weighted_shard_bounds",
+        # parallel: two backends, no thread executor
+        "BACKENDS", "CountingExecutor", "PartialCount", "PartialDecomposition", "ProcessExecutor",
+        "SerialExecutor", "WorkUnit", "compute_shard", "executor_scope", "make_executor",
+        "merge_counts", "merge_partials", "resolve_backend",
+        # degrees
+        "CountingCurve", "CountingReport", "counting_curve", "degree_of_belief_by_counting",
+        "probability_at",
+        # enumeration, including the counting skip rules
+        "BRUTE_FORCE_WORLD_LIMIT", "DEFAULT_LIMIT", "UNARY_CLASS_LIMIT", "EnumerationTooLarge",
+        "counting_domain_sizes", "enumerate_worlds", "world_space_size",
+        # limits
+        "DoubleLimitEstimate", "SequenceEstimate", "estimate_double_limit",
+        "estimate_sequence_limit", "richardson_extrapolate",
+        # unary
+        "AtomTable", "ConstantPlacement", "StructureEvaluator", "UnaryStructure",
+        "UnsupportedFormula", "compositions", "enumerate_placements", "enumerate_structures",
+        "set_partitions", "structure_satisfies",
+    ]
+)
+
 SERVER_EXPORTS = [
     "BeliefHTTPServer",
     "BeliefRequestHandler",
@@ -180,7 +220,7 @@ SIGNATURES = {
     ),
     (core.RandomWorlds, "degree_of_belief_batch"): (
         "(self, queries: 'Sequence[QueryLike]', knowledge_base: 'KnowledgeBaseLike', "
-        "method: 'str' = 'auto', max_workers: 'Optional[int]' = None) -> 'List[BeliefResult]'"
+        "method: 'str' = 'auto') -> 'List[BeliefResult]'"
     ),
     (core.RandomWorlds, "dispatch"): (
         "(self, query: 'QueryLike', knowledge_base: 'KnowledgeBaseLike', "
@@ -188,8 +228,7 @@ SIGNATURES = {
     ),
     (service.BeliefSession, "submit"): "(self, request: 'RequestLike') -> 'BeliefResponse'",
     (service.BeliefSession, "submit_many"): (
-        "(self, requests: 'Sequence[RequestLike]', "
-        "max_workers: 'Optional[int]' = None) -> 'List[BeliefResponse]'"
+        "(self, requests: 'Sequence[RequestLike]') -> 'List[BeliefResponse]'"
     ),
     (service.BeliefSession, "stream"): (
         "(self, requests: 'Iterable[RequestLike]', *, on_error: 'str' = 'respond') "
@@ -266,6 +305,10 @@ class TestExportedNames:
         for name in server.__all__:
             assert getattr(server, name) is not None
 
+    def test_worlds_exports(self):
+        assert sorted(worlds.__all__) == WORLDS_EXPORTS
+        assert worlds.BACKENDS == ("serial", "processes")
+
     def test_obs_exports(self):
         assert sorted(obs.__all__) == OBS_EXPORTS
         for name in obs.__all__:
@@ -334,7 +377,7 @@ class TestEngineOptionsSchema:
 
 class TestEngineOptionsRoundTrip:
     OPTIONS = dict(
-        backend="threads",
+        backend="processes",
         max_workers=2,
         memo=False,
         memo_size=128,
@@ -371,7 +414,7 @@ class TestEngineOptionsRoundTrip:
         core.add_engine_cli_arguments(parser)
         args = parser.parse_args(
             [
-                "--backend", "threads",
+                "--backend", "processes",
                 "--max-workers", "2",
                 "--no-memo",
                 "--memo-size", "128",
@@ -397,3 +440,35 @@ class TestSolverRegistry:
         registry = service.default_registry()
         for alias, key in SOLVER_ALIASES.items():
             assert registry.resolve(alias).key == key
+
+
+# ---------------------------------------------------------------------------
+# The retired threads backend is an unknown backend on every surface
+# ---------------------------------------------------------------------------
+
+
+def _open_over_http():
+    with server.serve_in_background(server.SessionManager()) as running:
+        server.Client(running.url).open_session("P(A)", engine={"backend": "threads"})
+
+
+@pytest.mark.parametrize(
+    "attempt,error",
+    [
+        (lambda: core.EngineOptions(backend="threads"), ValueError),
+        (lambda: core.RandomWorlds(backend="threads"), ValueError),
+        (_open_over_http, server.ServerError),
+        (lambda: build_serve_parser().parse_args(["--backend", "threads"]), SystemExit),
+    ],
+    ids=["engine-options", "random-worlds", "post-sessions", "repro-serve"],
+)
+def test_threads_backend_is_rejected(attempt, error, capsys):
+    with pytest.raises(error) as excinfo:
+        attempt()
+    if error is SystemExit:
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'threads'" in capsys.readouterr().err
+        return
+    if error is server.ServerError:
+        assert (excinfo.value.status, excinfo.value.code) == (400, "bad-request")
+    assert "unknown counting backend 'threads'" in str(excinfo.value)

@@ -12,8 +12,10 @@ every *defined* grid point,
 with exact :class:`~fractions.Fraction` arithmetic — no tolerance for float
 drift.  Hypothesis draws a benchmark knowledge base and random queries over
 its vocabulary, and the whole suite runs identically with the query memo on
-and off and on all three counting backends (``--backend processes
---backend-workers 2`` pins it to real multi-process fan-out in CI).
+and off and on both counting backends (``--backend processes
+--backend-workers 2`` pins it to real multi-process fan-out in CI).  The
+serial leg of the law test also fans its counts over a test-local thread
+pool, so the memo's in-flight protocol is hammered concurrently.
 
 Every test here carries the ``metamorphic`` pytest marker, so
 ``pytest -m metamorphic`` selects exactly this oracle suite.
@@ -22,6 +24,7 @@ Every test here carries the ``metamorphic`` pytest marker, so
 from __future__ import annotations
 
 import itertools
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -91,6 +94,13 @@ def _query_strategy(vocabulary: Vocabulary):
     )
 
 
+@pytest.fixture(scope="module")
+def stress_pool():
+    """The test-local thread pool that fans the serial leg's counts out."""
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        yield pool
+
+
 # One shared counter per (backend, memo, KB): the decomposition is enumerated
 # once and every hypothesis example after that only evaluates queries — which
 # is also exactly the warm path the memo and the evaluation shards cover.
@@ -118,7 +128,7 @@ def _context(backend: str, memo: bool, entry, executor_for):
         # differential leg also pins that the two forms can serve each
         # other's rows without conflict.
         interpreted = make_counter(vocabulary, cache=cache, compile_queries=False)
-        found = (kb.formula, domain_size, counter, interpreted, executor)
+        found = (kb.formula, domain_size, counter, interpreted)
         _CONTEXTS[key] = found
     return found
 
@@ -129,29 +139,24 @@ def _context(backend: str, memo: bool, entry, executor_for):
     deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
 )
-def test_probability_laws_hold_on_every_kb(counting_backend, memo, executor_for, data):
+def test_probability_laws_hold_on_every_kb(counting_backend, memo, executor_for, stress_pool, data):
     entry = data.draw(st.sampled_from(BENCHMARK_KBS), label="kb")
-    kb_formula, domain_size, counter, _, executor = _context(
-        counting_backend, memo, entry, executor_for
-    )
+    kb_formula, domain_size, counter, _ = _context(counting_backend, memo, entry, executor_for)
     strategy = _query_strategy(counter.vocabulary)
     phi = data.draw(strategy, label="phi")
     psi = data.draw(strategy, label="psi")
 
     for n in {max(1, domain_size - 1), domain_size}:
-        # the thread backend fans the counts out concurrently (stressing the
-        # memo's in-flight protocol); serial/processes run them in order
-        results = executor.map_ordered(
-            lambda query: counter.count(query, kb_formula, n, TAU),
-            [
-                phi,
-                Not(phi),
-                psi,
-                conj(phi, psi),
-                disj(phi, Not(phi)),
-                conj(phi, Not(phi)),
-            ],
-        )
+        queries = [phi, Not(phi), psi, conj(phi, psi), disj(phi, Not(phi)), conj(phi, Not(phi))]
+        if counting_backend == "serial":
+            # Concurrent counts over the shared counter, cache and memo stress
+            # the memo's in-flight protocol; the processes leg runs in order,
+            # its parallelism lives in the shard pool.
+            results = list(
+                stress_pool.map(lambda query: counter.count(query, kb_formula, n, TAU), queries)
+            )
+        else:
+            results = [counter.count(query, kb_formula, n, TAU) for query in queries]
         r_phi, r_not_phi, r_psi, r_and, r_taut, r_contra = results
         assert (
             r_phi.satisfying_kb
@@ -277,7 +282,7 @@ def test_probability_laws_hold_on_drawn_scenarios(coordinates, data):
 def test_memo_and_memoless_agree_exactly(counting_backend, memo, executor_for, data):
     """The memoised answer for any drawn query equals a fresh uncached count."""
     entry = data.draw(st.sampled_from(BENCHMARK_KBS), label="kb")
-    kb_formula, domain_size, counter, _, _ = _context(counting_backend, memo, entry, executor_for)
+    kb_formula, domain_size, counter, _ = _context(counting_backend, memo, entry, executor_for)
     phi = data.draw(_query_strategy(counter.vocabulary), label="phi")
     memoised = counter.count(phi, kb_formula, domain_size, TAU)
     reference = make_counter(counter.vocabulary).count(phi, kb_formula, domain_size, TAU)
@@ -300,7 +305,7 @@ def test_compiled_and_interpreted_agree_exactly(counting_backend, memo, executor
     when the shared memo would otherwise hand the twin the compiled row.
     """
     entry = data.draw(st.sampled_from(BENCHMARK_KBS), label="kb")
-    kb_formula, domain_size, counter, interpreted, _ = _context(
+    kb_formula, domain_size, counter, interpreted = _context(
         counting_backend, memo, entry, executor_for
     )
     phi = data.draw(_query_strategy(counter.vocabulary), label="phi")

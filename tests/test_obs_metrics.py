@@ -273,7 +273,9 @@ class TestMetricsEndpoint:
         try:
             previous = {}
             for _ in range(10):
-                metrics = self._scrape(client)
+                # The first scrape can beat the recording of open_session's
+                # route row; wait for the histogram family to exist.
+                metrics = self._scrape(client, until=lambda m: "repro_http_request_latency_ms" in m)
                 histogram = metrics["repro_http_request_latency_ms"]["values"]
                 for row in histogram:
                     assert sum(b["count"] for b in row["buckets"]) == row["count"]

@@ -4,13 +4,16 @@ The load-bearing assertions are the identity ones — a served answer must be
 the JSON form of the exact in-process answer, Fraction diagnostics included
 — and the backpressure one: a saturated admission gate answers 429 with
 ``Retry-After`` deterministically (the gate is saturated directly on the
-manager, no timing involved).
+manager, no timing involved).  Concurrent clients on one session must get
+the in-process answers and leave the cache counters a serial run leaves.
 """
 
 from __future__ import annotations
 
 import json
+import threading
 import urllib.request
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
 
 import pytest
@@ -219,6 +222,57 @@ class TestQueryBatch:
         with pytest.raises(ServerError) as excinfo:
             client.call("POST", f"/v1/sessions/{hep_session_id}/query_batch", {"requests": "Hep(Eric)"})
         assert excinfo.value.status == 400
+
+
+
+def _together(call, callers):
+    """Run ``call()`` on ``callers`` threads released at the same moment."""
+    barrier = threading.Barrier(callers)
+
+    def caller(_index):
+        barrier.wait(timeout=30)
+        return call()
+
+    with ThreadPoolExecutor(max_workers=callers) as pool:
+        return list(pool.map(caller, range(callers)))
+
+
+class TestConcurrentClients:
+    """Several clients on one session at once: the handler threads share its
+    engine, cache and memo, which is where served concurrency comes from."""
+
+    CALLERS = MAX_INFLIGHT - 1  # under the admission gate: nothing is turned away
+    QUERIES = ["Winner(C)", "not Winner(C)", "exists x. Winner(x)", "Winner(C)"]
+
+    @pytest.mark.parametrize("route", ["query", "query_batch"])
+    @pytest.mark.parametrize("tickets", [3, 4])
+    def test_answers_match_in_process_submit(self, client, route, tickets):
+        kb = paper_kbs.lottery(tickets)
+        session_id = client.open_session(kb)
+        if route == "query":
+            outcomes = _together(
+                lambda: [client.query(session_id, text) for text in self.QUERIES], self.CALLERS
+            )
+        else:
+            outcomes = _together(lambda: client.query_batch(session_id, self.QUERIES), self.CALLERS)
+        with open_session(kb, domain_sizes=TINY_DOMAINS) as session:
+            local = session.submit_many(self.QUERIES)
+        for served in outcomes:
+            assert [r.result for r in served] == [r.result for r in local]
+        request_ids = [r.request_id for served in outcomes for r in served]
+        assert len(set(request_ids)) == len(request_ids)
+
+    def test_cache_counters_match_a_serial_session(self, client):
+        kb = paper_kbs.lottery(5)
+        session_id = client.open_session(kb)
+        _together(lambda: client.query_batch(session_id, self.QUERIES), self.CALLERS)
+        with open_session(kb, domain_sizes=TINY_DOMAINS) as session:
+            for _ in range(self.CALLERS):
+                session.submit_many(self.QUERIES)
+            expected = session.cache_info()
+        served = client.cache_info(session_id)
+        assert (served["hits"], served["misses"]) == (expected.hits, expected.misses)
+        assert (served["memo_hits"], served["memo_misses"]) == (expected.memo_hits, expected.memo_misses)
 
 
 class TestCacheAndDescribe:

@@ -5,11 +5,15 @@ every counting backend and with the query memo on and off,
 ``BeliefSession.submit_many`` must produce exactly the answers — and exactly
 the cache counters — of the legacy ``degree_of_belief_batch``.  (Both
 surfaces now share one dispatch path; this suite is what keeps that true.)
+A second leg drives one session from several caller threads at once, the
+way the HTTP server's handler threads do.
 """
 
 from __future__ import annotations
 
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from test_worlds_cache import BENCHMARK_KBS
@@ -79,6 +83,66 @@ def test_session_matches_legacy_batch(
     assert session.cache_info() == legacy_engine.cache_info()
     assert [r.request_id for r in responses] == ["q1", "q2", "q3"]
     assert all(r.solver == "random-worlds" for r in responses)
+
+
+# Concurrent callers on one session are the concurrency the HTTP server
+# actually produces (ThreadingHTTPServer handler threads sharing a session).
+CONCURRENT_CALLERS = 3
+
+
+@pytest.mark.parametrize("memo", [True, False], ids=["memo", "memoless"])
+@pytest.mark.parametrize("name,factory,query_text", BENCHMARK_KBS, ids=[b[0] for b in BENCHMARK_KBS])
+def test_concurrent_submitters_match_legacy_batch(name, factory, query_text, memo):
+    """Caller threads sharing one serial session get the serial answers.
+
+    Every caller submits the same batch at once.  Each caller's answers (or
+    failure) must equal the legacy batch's, the session's cache counters must
+    equal those of one engine answering every caller's batch in turn (the
+    in-flight locks make hit/miss totals interleaving-independent), and the
+    per-response cache deltas must add up to exactly those counters.
+    """
+    kb = factory()
+    queries = [query_text, f"not ({query_text})", query_text]
+
+    legacy_engine = RandomWorlds(domain_sizes=DOMAIN_SIZES, memo=memo)
+    try:
+        expected = legacy_engine.degree_of_belief_batch(queries * CONCURRENT_CALLERS, kb)[: len(queries)]
+        legacy_error = None
+    except RandomWorldsError as error:
+        expected = None
+        legacy_error = str(error)
+
+    session = open_session(kb, domain_sizes=DOMAIN_SIZES, memo=memo)
+    barrier = threading.Barrier(CONCURRENT_CALLERS)
+
+    def caller(_index):
+        barrier.wait(timeout=30)
+        responses, failure = [], None
+        for text in queries:
+            try:
+                responses.append(session.submit(text))
+            except RandomWorldsError as error:
+                failure = str(error)
+                break
+        return responses, failure
+
+    with ThreadPoolExecutor(max_workers=CONCURRENT_CALLERS) as pool:
+        outcomes = list(pool.map(caller, range(CONCURRENT_CALLERS)))
+
+    if legacy_error is not None:
+        assert [failure for _, failure in outcomes] == [legacy_error] * CONCURRENT_CALLERS
+        return
+    for responses, failure in outcomes:
+        assert failure is None
+        assert [r.result for r in responses] == expected
+    all_responses = [r for responses, _ in outcomes for r in responses]
+    assert len({r.request_id for r in all_responses}) == len(all_responses)
+    info = session.cache_info()
+    assert info == legacy_engine.cache_info()
+    assert sum(r.cache_delta.hits for r in all_responses) == info.hits
+    assert sum(r.cache_delta.misses for r in all_responses) == info.misses
+    assert sum(r.cache_delta.memo_hits for r in all_responses) == info.memo_hits
+    assert sum(r.cache_delta.memo_misses for r in all_responses) == info.memo_misses
 
 
 # ---------------------------------------------------------------------------
@@ -263,40 +327,27 @@ class TestRegistryDispatch:
 
 
 # ---------------------------------------------------------------------------
-# The legacy threads spelling: deprecation completed, now an error
+# The bare max_workers spelling: an error naming the explicit backend
 # ---------------------------------------------------------------------------
 
 
-class TestLegacyThreadsRemoval:
+class TestBareMaxWorkersSpelling:
     KB = "Jaun(Eric) and %(Hep(x) | Jaun(x); x) ~=[1] 0.8"
 
     def test_constructor_spelling_raises(self):
-        with pytest.raises(ValueError, match='backend="threads"'):
+        with pytest.raises(ValueError, match='backend="processes"'):
             RandomWorlds(max_workers=3)
 
-    def test_per_call_spelling_raises(self):
-        engine = RandomWorlds()
-        with pytest.raises(ValueError, match='backend="threads"'):
-            engine.degree_of_belief_batch(["Hep(Eric)", "Jaun(Eric)"], self.KB, max_workers=3)
-
     def test_engine_options_spelling_raises(self):
-        with pytest.raises(ValueError, match='backend="threads"'):
+        with pytest.raises(ValueError, match='backend="processes"'):
             EngineOptions(max_workers=3)
 
     def test_no_spurious_deprecation_warnings_remain(self):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            engine = RandomWorlds(backend="threads", max_workers=3)
-            engine.degree_of_belief_batch(["Hep(Eric)", "Jaun(Eric)"], self.KB)
+            with RandomWorlds(backend="processes", max_workers=2) as engine:
+                engine.degree_of_belief_batch(["Hep(Eric)", "Jaun(Eric)"], self.KB)
         assert [w for w in caught if issubclass(w.category, DeprecationWarning)] == []
-
-    def test_explicit_threads_backend_matches_serial(self):
-        explicit = RandomWorlds(backend="threads", max_workers=3)
-        serial = RandomWorlds()
-        queries = ["Hep(Eric)", "Jaun(Eric)", "not Hep(Eric)"]
-        assert explicit.degree_of_belief_batch(queries, self.KB) == serial.degree_of_belief_batch(
-            queries, self.KB
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +365,6 @@ class TestCacheDeltaAttribution:
         solver below does no cache work at all while a cold counting query
         runs to completion on the main thread — its delta must be all zeros.
         """
-        import threading
 
         from repro.core import BeliefResult
         from repro.service import CacheDelta, Solver, build_default_registry

@@ -14,13 +14,12 @@ from fractions import Fraction
 import pytest
 
 from repro.core import KnowledgeBase, RandomWorlds
-from repro.core.engine import _unary_class_count
 from repro.logic.parser import parse
 from repro.logic.tolerance import ToleranceVector
 from repro.logic.vocabulary import Vocabulary
 from repro.worlds.cache import CacheKey, QueryMemoTable, WorldCountCache, query_fingerprint
 from repro.worlds.counting import BruteForceCounter, UnaryWorldCounter, make_counter
-from repro.worlds.enumeration import world_space_size
+from repro.worlds.enumeration import counting_domain_sizes
 from repro.workloads import paper_kbs
 
 
@@ -500,13 +499,15 @@ BRUTE_WORLD_BUDGET = 20_000
 
 def _pick_domain_size(vocabulary: Vocabulary) -> int:
     """The largest small domain size whose exact count stays within budget."""
-    for domain_size in (10, 8, 6, 5, 4, 3, 2, 1):
-        if vocabulary.is_unary:
-            if _unary_class_count(vocabulary, domain_size) <= UNARY_CLASS_BUDGET:
-                return domain_size
-        elif world_space_size(vocabulary, domain_size) <= BRUTE_WORLD_BUDGET:
-            return domain_size
-    raise AssertionError(f"no feasible domain size for {vocabulary!r}")
+    feasible = counting_domain_sizes(
+        vocabulary,
+        (10, 8, 6, 5, 4, 3, 2, 1),
+        unary_limit=UNARY_CLASS_BUDGET,
+        world_limit=BRUTE_WORLD_BUDGET,
+    )
+    if not feasible:
+        raise AssertionError(f"no feasible domain size for {vocabulary!r}")
+    return feasible[0]
 
 
 @pytest.mark.parametrize("name,factory,query_text", BENCHMARK_KBS, ids=[b[0] for b in BENCHMARK_KBS])
@@ -552,17 +553,6 @@ class TestBatch:
         assert [r.method for r in batch] == [r.method for r in sequential]
         assert [r.exists for r in batch] == [r.exists for r in sequential]
 
-    def test_batch_with_threads_matches_sequential(self):
-        kb = paper_kbs.lottery(3)
-        # The bare max_workers spelling finished its deprecation cycle.
-        with pytest.raises(ValueError, match='backend="threads"'):
-            RandomWorlds(domain_sizes=(6, 8, 10), max_workers=4)
-        threaded = RandomWorlds(domain_sizes=(6, 8, 10), backend="threads", max_workers=4)
-        plain = RandomWorlds(domain_sizes=(6, 8, 10))
-        expected = plain.degree_of_belief_batch(BATCH_QUERIES, kb)
-        actual = threaded.degree_of_belief_batch(BATCH_QUERIES, kb)
-        assert [r.value for r in actual] == [r.value for r in expected]
-
     def test_batch_shares_one_enumeration(self):
         kb = paper_kbs.lottery(3)
         engine = RandomWorlds(domain_sizes=(6, 8))
@@ -595,7 +585,9 @@ class TestBatch:
         assert results[1].approximately(0.2)
 
     def test_math_sanity_of_unary_class_bound(self):
-        # the helper the domain-size picker relies on: exact for compositions
+        # the bound the domain-size picker relies on covers every composition:
+        # a class budget one short of the composition count rejects the size
         vocabulary = paper_kbs.hepatitis_simple().vocabulary
         num_atoms = 1 << len(vocabulary.unary_predicates)
-        assert _unary_class_count(vocabulary, 4) >= math.comb(4 + num_atoms - 1, num_atoms - 1)
+        compositions = math.comb(4 + num_atoms - 1, num_atoms - 1)
+        assert counting_domain_sizes(vocabulary, (4,), unary_limit=compositions - 1) == ()

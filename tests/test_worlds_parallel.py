@@ -1,12 +1,14 @@
 """Cross-backend equality suite and tests for the counting executors.
 
-The load-bearing property of the backend abstraction is that ``serial``,
-``threads`` and ``processes`` are observationally identical: exact
+The load-bearing property of the backend abstraction is that ``serial`` and
+``processes`` are observationally identical: exact
 ``Fraction`` counts, class order, and ``CacheInfo`` totals must not depend on
 which backend (or how many workers) produced them.  This file also holds the
 regression tests for the cache-concurrency fixes this abstraction leans on:
 the refcounted in-flight lock, the clear()-vs-in-flight interaction, and the
-negative cache for oversized decompositions.
+negative cache for oversized decompositions.  The concurrent-caller tests
+cover the remaining source of concurrency: several threads (the HTTP
+server's handlers) sharing one serial counter, cache and memo.
 
 Run ``pytest tests/test_worlds_parallel.py --backend processes
 --backend-workers 2`` to pin the suite to one backend (CI does this in a
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import pickle
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -40,7 +43,6 @@ from repro.worlds.parallel import (
     PartialDecomposition,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     WorkUnit,
     compute_shard,
     executor_scope,
@@ -163,7 +165,6 @@ class TestShardMachinery:
 class TestExecutors:
     def test_make_executor_resolves_names(self):
         assert isinstance(make_executor("serial"), SerialExecutor)
-        assert isinstance(make_executor("threads", 2), ThreadExecutor)
         assert isinstance(make_executor("processes", 2), ProcessExecutor)
         assert isinstance(make_executor(None), SerialExecutor)
         existing = SerialExecutor()
@@ -175,18 +176,18 @@ class TestExecutors:
         assert resolve_backend(None, None) == "serial"
         assert resolve_backend(None, 1) == "serial"
         assert resolve_backend("processes", None) == "processes"
-        # The PR 4 deprecation completed: bare max_workers > 1 no longer
-        # implies threads — it is an error naming the explicit spelling.
-        with pytest.raises(ValueError, match='backend="threads"'):
+        # Bare max_workers > 1 chooses no pool: it is an error naming the
+        # explicit spelling.
+        with pytest.raises(ValueError, match='backend="processes"'):
             resolve_backend(None, 4)
 
     def test_executor_scope_closes_owned_pools_only(self):
-        with executor_scope("threads", 2) as executor:
-            executor.map_ordered(lambda x: x + 1, [1, 2, 3])
+        with executor_scope("processes", 2) as executor:
+            executor._ensure_pool()
             assert executor._pool is not None
         assert executor._pool is None  # owned: closed on exit
-        external = ThreadExecutor(2)
-        external.map_ordered(lambda x: x, [1, 2])
+        external = ProcessExecutor(2)
+        external._ensure_pool()
         with executor_scope(external) as passed_through:
             assert passed_through is external
         assert external._pool is not None  # caller-owned: left running
@@ -214,15 +215,15 @@ class TestExecutors:
         assert len(units) == 1
         executor.close()
 
-    def test_batch_reuses_a_caller_supplied_thread_executor(self):
+    def test_batch_reuses_a_caller_supplied_process_executor(self):
         kb = paper_kbs.lottery(3)
         queries = ["Winner(C)", "Ticket(C)", "not Winner(C)"]
-        shared = ThreadExecutor(max_workers=2)
+        shared = ProcessExecutor(max_workers=2)
         engine = RandomWorlds(domain_sizes=(6, 8), backend=shared)
         expected = RandomWorlds(domain_sizes=(6, 8)).degree_of_belief_batch(queries, kb)
         batch = engine.degree_of_belief_batch(queries, kb)
         assert [r.value for r in batch] == [r.value for r in expected]
-        assert shared._pool is not None  # the caller's pool did the fan-out...
+        assert shared._pool is not None  # the caller's pool ran the shards...
         engine.close()
         assert shared._pool is not None  # ...and survives the engine
         shared.close()
@@ -322,7 +323,61 @@ def test_backend_counts_match_serial_reference(
     assert (info.misses, info.hits) == (1, 1)  # identical totals on every backend
 
 
-@pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
+CONCURRENT_CALLERS = 4
+
+
+def _run_concurrently(call):
+    """Run ``call()`` on CONCURRENT_CALLERS threads released together."""
+    barrier = threading.Barrier(CONCURRENT_CALLERS)
+
+    def caller(_index):
+        barrier.wait(timeout=30)
+        return call()
+
+    with ThreadPoolExecutor(max_workers=CONCURRENT_CALLERS) as pool:
+        return list(pool.map(caller, range(CONCURRENT_CALLERS)))
+
+
+@pytest.mark.parametrize("memo", [True, False], ids=["memo", "memoless"])
+@pytest.mark.parametrize(
+    "name,factory,query_text", BENCHMARK_KBS, ids=[entry[0] for entry in BENCHMARK_KBS]
+)
+def test_concurrent_callers_match_serial_reference(name, factory, query_text, memo):
+    """Caller threads sharing one serial counter and cache see the serial counts.
+
+    Concurrency now comes only from callers (the HTTP server's handler
+    threads), never from the counting backend.  All callers count the same
+    query at once: the decomposition in-flight lock lets exactly one of them
+    enumerate and the memo's lets exactly one evaluate, so the totals are
+    the ones a serial run of the same calls produces.
+    """
+    kb = factory()
+    query = parse(query_text)
+    vocabulary = kb.vocabulary.merge(Vocabulary.from_formulas([query]))
+    domain_size = _pick_domain_size(vocabulary)
+
+    reference = make_counter(vocabulary).count(query, kb.formula, domain_size, TAU)
+
+    cache = WorldCountCache(memo=memo)
+    counter = make_counter(vocabulary, cache=cache)
+    results = _run_concurrently(lambda: counter.count(query, kb.formula, domain_size, TAU))
+
+    for result in results:
+        assert result.satisfying_kb == reference.satisfying_kb
+        assert result.satisfying_both == reference.satisfying_both
+        if reference.is_defined:
+            assert isinstance(result.probability, Fraction)
+            assert result.probability == reference.probability
+    info = cache.cache_info()
+    if memo:
+        assert (info.misses, info.hits) == (1, 0)
+        assert (info.memo_misses, info.memo_hits, info.memo_entries) == (1, CONCURRENT_CALLERS - 1, 1)
+    else:
+        assert (info.misses, info.hits) == (1, CONCURRENT_CALLERS - 1)
+        assert (info.memo_misses, info.memo_hits) == (0, 0)
+
+
+@pytest.mark.parametrize("backend", ["serial", "processes"])
 def test_engine_batch_identical_across_backends(backend, backend_workers):
     """The batch API returns identical answers and cache totals per backend."""
     kb = paper_kbs.lottery(3)
@@ -342,6 +397,52 @@ def test_engine_batch_identical_across_backends(backend, backend_workers):
     grid_points = 2 * len(tuple(reference_engine.tolerances))
     assert info.misses == grid_points
     assert info.hits == grid_points * (len(queries) - 1)
+
+
+@pytest.mark.parametrize("memo", [True, False], ids=["memo", "memoless"])
+def test_concurrent_engine_batches_match_serial(memo):
+    """One engine answering batches from several callers at once.
+
+    Answers equal a cache-less reference, and the cache counters equal those
+    of the same engine configuration answering every caller's batch in turn.
+    """
+    kb = paper_kbs.lottery(3)
+    queries = ["Winner(C)", "Ticket(C)", "exists x. Winner(x)", "not Winner(C)"]
+    reference_engine = RandomWorlds(domain_sizes=(6, 8), cache=False)
+    reference = [reference_engine.degree_of_belief(query, kb) for query in queries]
+
+    serial_engine = RandomWorlds(domain_sizes=(6, 8), memo=memo)
+    for _ in range(CONCURRENT_CALLERS):
+        serial_engine.degree_of_belief_batch(queries, kb)
+
+    engine = RandomWorlds(domain_sizes=(6, 8), memo=memo)
+    batches = _run_concurrently(lambda: engine.degree_of_belief_batch(queries, kb))
+
+    for batch in batches:
+        assert [r.value for r in batch] == [r.value for r in reference]
+        assert [r.exists for r in batch] == [r.exists for r in reference]
+    assert engine.cache_info() == serial_engine.cache_info()
+
+
+@pytest.mark.parametrize("memo", [True, False], ids=["memo", "memoless"])
+def test_concurrent_counting_curves_share_one_cache(memo):
+    """Concurrent curves over one cache enumerate each grid point once."""
+    kb = paper_kbs.hepatitis_simple()
+    query = parse("Hep(Eric)")
+    vocabulary = kb.vocabulary.merge(Vocabulary.from_formulas([query]))
+    sizes = (6, 8, 10)
+    serial_cache = WorldCountCache(memo=memo)
+    for _ in range(CONCURRENT_CALLERS):
+        serial = counting_curve(query, kb.formula, vocabulary, sizes, TAU, cache=serial_cache)
+
+    cache = WorldCountCache(memo=memo)
+    curves = _run_concurrently(
+        lambda: counting_curve(query, kb.formula, vocabulary, sizes, TAU, cache=cache)
+    )
+
+    assert [curve.probabilities for curve in curves] == [serial.probabilities] * CONCURRENT_CALLERS
+    assert cache.cache_info() == serial_cache.cache_info()
+    assert cache.cache_info().misses == len(sizes)
 
 
 def test_counting_curve_backends_agree(executor_for, counting_backend):
@@ -379,18 +480,18 @@ def test_degree_of_belief_by_counting_processes_backend(shared_process_executor)
 
 
 def test_legacy_max_workers_without_backend_raises():
-    """The PR 4 deprecation completed: the implied-threads spelling is gone."""
+    """Bare max_workers > 1 chooses no pool; the explicit spelling does."""
     kb = paper_kbs.hepatitis_simple()
     query = parse("Hep(Eric)")
     vocabulary = kb.vocabulary.merge(Vocabulary.from_formulas([query]))
-    with pytest.raises(ValueError, match='backend="threads"'):
-        counting_curve(query, kb.formula, vocabulary, (6, 8, 10), TAU, max_workers=3)
-    # The explicit spelling still matches the serial reference exactly.
-    threaded = counting_curve(
-        query, kb.formula, vocabulary, (6, 8, 10), TAU, backend="threads", max_workers=3
+    with pytest.raises(ValueError, match='backend="processes"'):
+        counting_curve(query, kb.formula, vocabulary, (6, 8, 10), TAU, max_workers=2)
+    # The explicit spelling matches the serial reference exactly.
+    pooled = counting_curve(
+        query, kb.formula, vocabulary, (6, 8, 10), TAU, backend="processes", max_workers=2
     )
     serial = counting_curve(query, kb.formula, vocabulary, (6, 8, 10), TAU)
-    assert threaded.probabilities == serial.probabilities
+    assert pooled.probabilities == serial.probabilities
 
 
 # ---------------------------------------------------------------------------
@@ -513,11 +614,11 @@ def test_engine_batch_memo_counters_identical_across_backends(backend_workers):
     kb = paper_kbs.lottery(3)
     queries = ["Winner(C)", "Ticket(C)", "Winner(C)", "not Winner(C)", "Ticket(C)"]
     infos = {}
-    for backend in ("serial", "threads", "processes"):
+    for backend in ("serial", "processes"):
         with RandomWorlds(domain_sizes=(6, 8), backend=backend, max_workers=backend_workers) as engine:
             engine.degree_of_belief_batch(queries, kb)
             infos[backend] = engine.cache_info()
-    assert infos["serial"] == infos["threads"] == infos["processes"]
+    assert infos["serial"] == infos["processes"]
     grid_points = 2 * len(tuple(RandomWorlds(domain_sizes=(6, 8)).tolerances))
     distinct = 3
     info = infos["serial"]
